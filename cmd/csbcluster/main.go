@@ -12,11 +12,11 @@
 //	csbcluster -serve [flags]           # open-loop serving workload
 //
 // Topology flags (-nodes, -topology, -bandwidth, -link-depth) shape the
-// fabric; -engine picks the scheduler: "parallel" is the goroutine-per-
-// node conservative-lookahead engine (requires ≥1 cycle of wire latency),
-// "seq" its single-threaded reference, "lockstep" the classic
-// cycle-by-cycle loop, and "auto" (default) parallel when the wire allows
-// it. All three produce byte-identical results.
+// fabric; -engine picks the scheduler: "parallel" (default) is the
+// goroutine-per-node conservative-lookahead engine, "seq" its
+// single-threaded reference. Both produce byte-identical results at any
+// wire latency, zero included. A halting run reports the cycle its last
+// node halted in; a serving run reports its horizon.
 //
 // Serving flags: -rate R offers R requests per 1000 cycles per client
 // (open loop — arrivals never wait for completions), -dist picks the
@@ -111,7 +111,7 @@ func main() {
 	flag.Uint64Var(&o.bandwidth, "bandwidth", 0, "link serialization cost in cycles per 8-byte word (0 = infinite)")
 	flag.IntVar(&o.linkDepth, "link-depth", 0, "max packets in flight per link (0 = unbounded)")
 	flag.Uint64Var(&o.enqDelay, "rx-delay", 0, "extra RX staging delay in CPU cycles (wire_arrive to rx_enqueue)")
-	flag.StringVar(&o.engine, "engine", "auto", "scheduler: auto, parallel, seq or lockstep")
+	flag.StringVar(&o.engine, "engine", "parallel", "scheduler: parallel or seq (its single-threaded reference; byte-identical results)")
 	flag.Uint64Var(&o.maxCycles, "cycles", 100_000_000, "cluster cycle limit")
 
 	flag.BoolVar(&o.serve, "serve", false, "run the open-loop serving workload")
@@ -398,7 +398,7 @@ func run(o *options, args []string) error {
 			Started   uint64                      `json:"packets_started"`
 			Completed uint64                      `json:"packets_completed"`
 			Hops      map[string]counters.Summary `json:"hops"`
-		}{Cycles: c.Cycle(), Nodes: c.NumNodes(), Started: c.Trace().Started(), Completed: c.Trace().Completed()}
+		}{Cycles: c.HaltCycle(), Nodes: c.NumNodes(), Started: c.Trace().Started(), Completed: c.Trace().Completed()}
 		if len(args) == 0 {
 			out.Rounds = o.rounds
 		}
@@ -410,14 +410,14 @@ func run(o *options, args []string) error {
 		fmt.Println(string(data))
 	case o.verbose:
 		fmt.Printf("cluster halted after %d cycles; %d packets crossed the wire (%d completed)\n",
-			c.Cycle(), c.Trace().Started(), c.Trace().Completed())
+			c.HaltCycle(), c.Trace().Started(), c.Trace().Completed())
 		fmt.Print(c.Registry().Snapshot().Format())
 	default:
 		if traced {
 			fmt.Printf("cluster halted after %d cycles; %d packets crossed the wire\n",
-				c.Cycle(), c.Trace().Started())
+				c.HaltCycle(), c.Trace().Started())
 		} else {
-			fmt.Printf("cluster halted after %d cycles\n", c.Cycle())
+			fmt.Printf("cluster halted after %d cycles\n", c.HaltCycle())
 		}
 	}
 	return nil
@@ -587,32 +587,18 @@ func reportServe(c *cluster.Cluster, o *options, gens []*loadgen.Generator, clie
 
 // runEngine dispatches to the scheduler the -engine flag picked.
 func runEngine(c *cluster.Cluster, o *options) error {
-	engine := o.engine
-	if engine == "auto" {
-		if o.wire == 0 {
-			engine = "lockstep"
-		} else {
-			engine = "parallel"
-		}
+	if o.engine != "parallel" && o.engine != "seq" {
+		return fmt.Errorf("unknown engine %q (want parallel or seq)", o.engine)
 	}
-	switch engine {
-	case "lockstep":
-		if o.serve {
-			return fmt.Errorf("-serve needs the windowed engine (-engine parallel or seq)")
-		}
-		return c.Run(o.maxCycles)
-	case "seq":
-		if o.serve {
-			return c.RunFor(o.horizon, false)
-		}
-		return c.RunSequentialRef(o.maxCycles)
-	case "parallel":
-		if o.serve {
-			return c.RunFor(o.horizon, true)
-		}
+	parallel := o.engine == "parallel"
+	switch {
+	case o.serve:
+		return c.RunFor(o.horizon, parallel)
+	case parallel:
 		return c.RunParallel(o.maxCycles)
+	default:
+		return c.RunSequentialRef(o.maxCycles)
 	}
-	return fmt.Errorf("unknown engine %q (want auto, parallel, seq or lockstep)", o.engine)
 }
 
 func parseServers(s string, nodes int) ([]int, error) {

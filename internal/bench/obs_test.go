@@ -77,7 +77,7 @@ func TestCPIStackInvariantPingPong(t *testing.T) {
 		}
 		c.Node(0).M.WarmProgram(pa)
 		c.Node(1).M.WarmProgram(pb)
-		if err := c.Run(10_000_000); err != nil {
+		if err := c.RunSequentialRef(10_000_000); err != nil {
 			t.Fatal(err)
 		}
 		checkCPI(t, "pingpong/"+method.String()+"/A", c.Node(0).M.Stats())

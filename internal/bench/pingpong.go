@@ -96,7 +96,7 @@ func pongProgram(method SendMethod, rounds int) string {
 }
 
 // PingPongPrograms returns the two node programs of the round-trip
-// workload, for harnesses (cmd/obsbench) that need the raw sources.
+// workload, for callers (cmd/csbcluster) that build their own cluster.
 func PingPongPrograms(method SendMethod, rounds int) (ping, pong string) {
 	return pingProgram(method, rounds), pongProgram(method, rounds)
 }
@@ -124,10 +124,10 @@ func MeasurePingPong(method SendMethod, rounds int, wireLatency uint64) (float64
 	}
 	c.Node(0).M.WarmProgram(pa)
 	c.Node(1).M.WarmProgram(pb)
-	if err := c.Run(100_000_000); err != nil {
+	if err := c.RunSequentialRef(100_000_000); err != nil {
 		return 0, err
 	}
-	return float64(c.Cycle()) / float64(rounds), nil
+	return float64(c.HaltCycle()) / float64(rounds), nil
 }
 
 // ExtensionPingPong regenerates X8: round-trip time vs wire latency for

@@ -74,7 +74,7 @@ func TestPacketCrossesWire(t *testing.T) {
 	if _, err := c.Node(1).M.LoadSource("recv.s", recvProg); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Run(1_000_000); err != nil {
+	if err := c.RunSequentialRef(1_000_000); err != nil {
 		t.Fatal(err)
 	}
 	if got := c.Node(1).M.RAM.ReadUint(0x20000, 8); got != 0x1234 {
@@ -93,10 +93,10 @@ func TestWireLatencyDelaysDelivery(t *testing.T) {
 		if _, err := c.Node(1).M.LoadSource("recv.s", recvProg); err != nil {
 			t.Fatal(err)
 		}
-		if err := c.Run(1_000_000); err != nil {
+		if err := c.RunSequentialRef(1_000_000); err != nil {
 			t.Fatal(err)
 		}
-		return c.Cycle()
+		return c.HaltCycle()
 	}
 	fast := cycles(0)
 	slow := cycles(600)
@@ -138,7 +138,7 @@ wait:	ldx [%o0+0x28], %g1
 	if _, err := c.Node(1).M.LoadSource("b.s", both(222)); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Run(1_000_000); err != nil {
+	if err := c.RunSequentialRef(1_000_000); err != nil {
 		t.Fatal(err)
 	}
 	if got := c.Node(0).M.RAM.ReadUint(0x20000, 8); got != 222 {
@@ -158,7 +158,7 @@ func TestNodeFaultSurfaces(t *testing.T) {
 	if _, err := c.Node(1).M.LoadSource("ok.s", "halt\n"); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Run(1_000_000); err == nil {
+	if err := c.RunSequentialRef(1_000_000); err == nil {
 		t.Error("node fault not surfaced")
 	}
 }

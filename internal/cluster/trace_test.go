@@ -40,7 +40,7 @@ func newTracedCluster(t *testing.T, wire, enqDelay uint64) *Cluster {
 // to the end-to-end figure, with every stamp in order.
 func TestTracedRunMergedSpans(t *testing.T) {
 	c := newTracedCluster(t, 80, 0)
-	if err := c.Run(1_000_000); err != nil {
+	if err := c.RunSequentialRef(1_000_000); err != nil {
 		t.Fatal(err)
 	}
 	tr := c.Trace()
@@ -88,7 +88,7 @@ func TestTracedRunMergedSpans(t *testing.T) {
 func TestTracedDumpDeterministic(t *testing.T) {
 	run := func() []byte {
 		c := newTracedCluster(t, 50, 7)
-		if err := c.Run(1_000_000); err != nil {
+		if err := c.RunSequentialRef(1_000_000); err != nil {
 			t.Fatal(err)
 		}
 		var buf bytes.Buffer
@@ -106,10 +106,10 @@ func TestTracedDumpDeterministic(t *testing.T) {
 func TestRxEnqueueDelayDelaysDelivery(t *testing.T) {
 	cycles := func(delay uint64) uint64 {
 		c := newTracedCluster(t, 20, delay)
-		if err := c.Run(1_000_000); err != nil {
+		if err := c.RunSequentialRef(1_000_000); err != nil {
 			t.Fatal(err)
 		}
-		return c.Cycle()
+		return c.HaltCycle()
 	}
 	fast := cycles(0)
 	slow := cycles(600)
@@ -132,7 +132,7 @@ func TestClusterCountersInNodeRegistries(t *testing.T) {
 	if _, err := c.Node(1).M.LoadSource("recv.s", recvProg); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Run(1_000_000); err != nil {
+	if err := c.RunSequentialRef(1_000_000); err != nil {
 		t.Fatal(err)
 	}
 	for _, n := range c.Nodes() {
@@ -167,11 +167,13 @@ func TestWireCountersDuringFlight(t *testing.T) {
 	if _, err := c.Node(1).M.LoadSource("recv.s", recvProg); err != nil {
 		t.Fatal(err)
 	}
-	// Tick until the packet is pumped, well before the 10k-cycle wire
-	// latency elapses.
+	// Step in short chunks until the packet is pumped, well before the
+	// 10k-cycle wire latency elapses.
 	var sawFlight bool
-	for i := 0; i < 5000; i++ {
-		c.Tick()
+	for c.Cycle() < 5000 {
+		if err := c.RunFor(10, false); err != nil {
+			t.Fatal(err)
+		}
 		snap := c.Registry().Snapshot()
 		if snap.Counters["cluster/packets_in_flight"] == 1 {
 			sawFlight = true
@@ -189,12 +191,12 @@ func TestWireCountersDuringFlight(t *testing.T) {
 // TestTelemetryCadence: frames are published on the configured sim-cycle
 // period and carry all three registered nodes.
 func TestTelemetryCadence(t *testing.T) {
-	c := newTracedCluster(t, 40, 0)
+	c := newTracedCluster(t, 50, 0) // the window divides the period
 	s := telemetry.New()
 	if err := c.AttachTelemetry(s, 100); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Run(1_000_000); err != nil {
+	if err := c.RunSequentialRef(1_000_000); err != nil {
 		t.Fatal(err)
 	}
 	data := s.Snapshot()
@@ -269,7 +271,7 @@ spin:	dec %g5
 	if _, err := c.Node(1).M.LoadSource("recv.s", recvProg); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Run(1_000_000); err == nil {
+	if err := c.RunSequentialRef(1_000_000); err == nil {
 		t.Fatal("expected node fault")
 	}
 	// The flush must have published a final frame despite the period never

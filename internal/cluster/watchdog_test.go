@@ -65,22 +65,6 @@ func TestClusterWatchdogTripsWindowed(t *testing.T) {
 	}
 }
 
-// TestClusterWatchdogTripsLockstep: the same wedge must trip under the
-// lockstep engine too (the check runs once per Tick there).
-func TestClusterWatchdogTripsLockstep(t *testing.T) {
-	c := wedgedPair(t)
-	if err := c.SetWatchdog(2000, false); err != nil {
-		t.Fatal(err)
-	}
-	var we *WatchdogError
-	if err := c.Run(1_000_000); !errors.As(err, &we) {
-		t.Fatalf("expected *WatchdogError, got %v", err)
-	}
-	if we.Node != "a" {
-		t.Errorf("watchdog blamed node %q, want a", we.Node)
-	}
-}
-
 // TestClusterWatchdogIdleNotWedged: a halted CPU retires nothing
 // legitimately — a node kept alive past the window by its hook must not
 // trip the watchdog.
