@@ -47,7 +47,7 @@ func newTinyRig(t *testing.T) *rig {
 	}
 	pt := mem.NewPageTable()
 	c.SetPageTable(pt)
-	return &rig{c: c, h: h, u: u, s: s, ram: ram, b: b, pt: pt, ratio: 6}
+	return &rig{t: t, c: c, h: h, u: u, s: s, ram: ram, b: b, pt: pt, ratio: 6}
 }
 
 func TestTinyStructuresStillCorrect(t *testing.T) {

@@ -91,7 +91,9 @@ func (c Config) Validate() error {
 		{"FetchWidth", c.FetchWidth}, {"DispatchWidth", c.DispatchWidth},
 		{"RetireWidth", c.RetireWidth}, {"ROBSize", c.ROBSize},
 		{"FetchQueue", c.FetchQueue}, {"IntALUs", c.IntALUs}, {"FPUs", c.FPUs},
-		{"IntLatency", c.IntLatency}, {"MemPorts", c.MemPorts}, {"AGUs", c.AGUs},
+		{"IntLatency", c.IntLatency}, {"MulLatency", c.MulLatency},
+		{"FPLatency", c.FPLatency}, {"FPDivLatency", c.FPDivLatency},
+		{"MemPorts", c.MemPorts}, {"AGUs", c.AGUs},
 		{"LSQSize", c.LSQSize}, {"MaxBranches", c.MaxBranches},
 		{"TLBEntries", c.TLBEntries}, {"CSBLatency", c.CSBLatency},
 	}

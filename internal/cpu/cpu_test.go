@@ -18,6 +18,7 @@ import (
 // machine lives in internal/sim; duplicating the wiring here avoids an
 // import cycle and keeps these tests close to the pipeline internals).
 type rig struct {
+	t     testing.TB
 	c     *CPU
 	h     *cache.Hierarchy
 	u     *uncbuf.Buffer
@@ -30,6 +31,11 @@ type rig struct {
 }
 
 func newRig(t *testing.T) *rig {
+	t.Helper()
+	return newRigConfig(t, DefaultConfig())
+}
+
+func newRigConfig(t *testing.T, cfg Config) *rig {
 	t.Helper()
 	ram := mem.NewMemory()
 	rt := mem.NewRouter(ram)
@@ -49,13 +55,13 @@ func newRig(t *testing.T) *rig {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := New(DefaultConfig(), h, u, s, ram)
+	c, err := New(cfg, h, u, s, ram)
 	if err != nil {
 		t.Fatal(err)
 	}
 	pt := mem.NewPageTable()
 	c.SetPageTable(pt)
-	return &rig{c: c, h: h, u: u, s: s, ram: ram, b: b, pt: pt, ratio: 6}
+	return &rig{t: t, c: c, h: h, u: u, s: s, ram: ram, b: b, pt: pt, ratio: 6}
 }
 
 func (r *rig) load(t *testing.T, src string) *asm.Program {
@@ -77,6 +83,9 @@ func (r *rig) load(t *testing.T, src string) *asm.Program {
 func (r *rig) tick() {
 	r.u.TickCPU()
 	r.c.Tick()
+	if err := r.c.checkWorkLists(); err != nil {
+		r.t.Fatalf("cycle %d: %v\n%s", r.c.Cycles(), err, r.c.PipelineDump())
+	}
 	r.h.TickCPU()
 	r.cycle++
 	if r.cycle%uint64(r.ratio) == 0 {
@@ -114,6 +123,26 @@ func TestConfigValidate(t *testing.T) {
 	bad2.PredictorSize = 1000 // not a power of two
 	if err := bad2.Validate(); err == nil {
 		t.Error("non-power-of-two predictor accepted")
+	}
+	// Latencies below one would silently run as one-cycle ops.
+	for name, set := range map[string]func(*Config, int){
+		"IntLatency":   func(c *Config, v int) { c.IntLatency = v },
+		"MulLatency":   func(c *Config, v int) { c.MulLatency = v },
+		"FPLatency":    func(c *Config, v int) { c.FPLatency = v },
+		"FPDivLatency": func(c *Config, v int) { c.FPDivLatency = v },
+	} {
+		for _, v := range []int{0, -1} {
+			cfg := DefaultConfig()
+			set(&cfg, v)
+			if err := cfg.Validate(); err == nil || !strings.Contains(err.Error(), name) {
+				t.Errorf("%s = %d: Validate() = %v, want an error naming it", name, v, err)
+			}
+		}
+	}
+	zeroWalk := DefaultConfig()
+	zeroWalk.TLBWalkLatency = 0
+	if err := zeroWalk.Validate(); err != nil {
+		t.Errorf("zero TLB walk latency rejected: %v", err)
 	}
 }
 
@@ -160,18 +189,21 @@ func TestStatsIPC(t *testing.T) {
 }
 
 func TestNeedsRetireExec(t *testing.T) {
+	op := func(o isa.Op, kind mem.Kind) uop {
+		return uop{inst: isa.Inst{Op: o}, opAttrs: opAttrTable[o], kind: kind}
+	}
 	cases := []struct {
 		u    uop
 		want bool
 	}{
-		{uop{inst: isa.Inst{Op: isa.OpMEMBAR}}, true},
-		{uop{inst: isa.Inst{Op: isa.OpSWAP}}, true},
-		{uop{inst: isa.Inst{Op: isa.OpHALT}}, true},
-		{uop{inst: isa.Inst{Op: isa.OpRDPR}}, true},
-		{uop{inst: isa.Inst{Op: isa.OpADD}}, false},
-		{uop{inst: isa.Inst{Op: isa.OpLDX}, isMem: true, kind: mem.KindCached}, false},
-		{uop{inst: isa.Inst{Op: isa.OpLDX}, isMem: true, kind: mem.KindUncached}, true},
-		{uop{inst: isa.Inst{Op: isa.OpSTX}, isMem: true, kind: mem.KindCombining}, true},
+		{op(isa.OpMEMBAR, 0), true},
+		{op(isa.OpSWAP, 0), true},
+		{op(isa.OpHALT, 0), true},
+		{op(isa.OpRDPR, 0), true},
+		{op(isa.OpADD, 0), false},
+		{op(isa.OpLDX, mem.KindCached), false},
+		{op(isa.OpLDX, mem.KindUncached), true},
+		{op(isa.OpSTX, mem.KindCombining), true},
 	}
 	for _, c := range cases {
 		if got := c.u.needsRetireExec(); got != c.want {
@@ -635,6 +667,29 @@ func TestUncachedLoadAtRetire(t *testing.T) {
 	}
 	if r.c.Stats().UncachedLoads != 1 {
 		t.Errorf("uncached loads = %d", r.c.Stats().UncachedLoads)
+	}
+}
+
+// A zero-cycle TLB walk (Validate accepts TLBWalkLatency 0) completes
+// inside translate: the first miss must not wedge the load that took it.
+func TestZeroLatencyTLBWalk(t *testing.T) {
+	for _, lat := range []int{0, 1} {
+		cfg := DefaultConfig()
+		cfg.TLBWalkLatency = lat
+		r := newRigConfig(t, cfg)
+		r.ram.WriteUint(0x20000, 8, 0xBEEF)
+		r.load(t, `
+	set 0x20000, %o1
+	ldx [%o1], %g1
+	halt
+`)
+		r.run(t, 10_000)
+		if got := r.c.State().R[1]; got != 0xBEEF {
+			t.Errorf("walk latency %d: loaded %#x, want 0xbeef", lat, got)
+		}
+		if r.c.TLB().Misses == 0 {
+			t.Errorf("walk latency %d: the load never missed the TLB", lat)
+		}
 	}
 }
 

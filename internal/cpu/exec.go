@@ -16,18 +16,16 @@ func writesCC(op isa.Op) bool {
 	return false
 }
 
-// latencyFor returns the execution latency for a functional-unit op.
-func (c *CPU) latencyFor(op isa.Op) int {
-	switch op.Class() {
+// latencyFor returns the execution latency of functional-unit uop u.
+func (c *CPU) latencyFor(u *uop) int {
+	switch u.class {
 	case isa.ClassIntMul:
 		return c.cfg.MulLatency
 	case isa.ClassFPU:
-		if op == isa.OpFDIV {
+		if u.inst.Op == isa.OpFDIV {
 			return c.cfg.FPDivLatency
 		}
 		return c.cfg.FPLatency
-	case isa.ClassBranch:
-		return c.cfg.IntLatency
 	default:
 		return c.cfg.IntLatency
 	}

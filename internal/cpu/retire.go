@@ -82,13 +82,12 @@ func (c *CPU) retireExecInFlight() bool {
 // commit applies a normal instruction's architectural effects. It returns
 // false when a cached store cannot enter the write buffer this cycle.
 func (c *CPU) commit(u *uop) bool {
-	if u.inst.Op.Class() == isa.ClassStore && u.kind == mem.KindCached {
+	if u.class == isa.ClassStore && u.kind == mem.KindCached {
 		if !c.hier.Store(u.pa) {
 			return false
 		}
-		size := u.inst.Op.MemBytes()
-		c.ram.WriteUint(u.pa, size, u.vald())
-		c.decInvalidate(u.pa, size)
+		c.ram.WriteUint(u.pa, u.memBytes, u.vald())
+		c.decInvalidate(u.pa, u.memBytes)
 		c.hier.MarkDirty(u.pa)
 		c.stats.CachedStores++
 	}
@@ -146,7 +145,7 @@ func (c *CPU) popHead(u *uop) {
 	c.releaseSnap(u)
 	u.retired = true
 	u.freeStamp = c.seq
-	c.retq = append(c.retq, u)
+	c.pushRetired(u)
 	c.stats.Retired++
 	if u.isBranch && u.resolved {
 		c.arch.PC = u.actualNext
@@ -233,7 +232,7 @@ func (c *CPU) retireExec(u *uop) int {
 	}
 
 	// Uncached / combining loads and stores.
-	switch u.inst.Op.Class() {
+	switch u.class {
 	case isa.ClassLoad:
 		return c.retireUncachedLoad(u)
 	case isa.ClassStore:
@@ -366,10 +365,9 @@ func (c *CPU) retireSwapUncached(u *uop) int {
 func (c *CPU) retireUncachedLoad(u *uop) int {
 	switch u.retPhase {
 	case 0:
-		size := u.inst.Op.MemBytes()
 		u.pins++
 		//csb:pool — the load callback's capture of u is pin-counted (u.pins).
-		ok := c.ub.AddLoad(u.pa, size, func(data []byte) {
+		ok := c.ub.AddLoad(u.pa, u.memBytes, func(data []byte) {
 			u.pins--
 			if !u.dead {
 				u.result = leUint(data)
@@ -392,17 +390,16 @@ func (c *CPU) retireUncachedLoad(u *uop) int {
 }
 
 func (c *CPU) retireUncachedStore(u *uop) int {
-	size := u.inst.Op.MemBytes()
-	data := c.leBytes(u.vald(), size)
+	data := c.leBytes(u.vald(), u.memBytes)
 	if u.kind == mem.KindCombining {
-		if !c.csb.Store(c.arch.PID(), u.pa, size, data) {
+		if !c.csb.Store(c.arch.PID(), u.pa, u.memBytes, data) {
 			return rexStall
 		}
 		c.stats.CSBStores++
 		c.markDone(u)
 		return rexRetired
 	}
-	if !c.ub.AddStore(u.pa, size, data) {
+	if !c.ub.AddStore(u.pa, u.memBytes, data) {
 		return rexStall
 	}
 	c.stats.UncachedStores++

@@ -99,7 +99,7 @@ func (c *CPU) classifyRetireExec(u *uop) obs.StallCause {
 			return obs.CauseUncached
 		}
 	}
-	switch u.inst.Op.Class() {
+	switch u.class {
 	case isa.ClassLoad:
 		if u.retPhase == 1 {
 			return obs.CauseBusArb // uncached load in flight on the bus
@@ -130,7 +130,7 @@ func (c *CPU) classifyMem(u *uop) obs.StallCause {
 		return obs.CauseDCache // fill in flight
 	case u.executing:
 		return obs.CauseDCache // cache access latency counting down
-	case u.inst.Op.Class() == isa.ClassStore:
+	case u.class == isa.ClassStore:
 		return obs.CauseExec // waiting for store data
 	default:
 		return obs.CauseLSQ // load ready but blocked on ports/ordering/MSHRs

@@ -11,7 +11,8 @@ import (
 type uop struct {
 	seq  uint64
 	inst isa.Inst
-	pc   uint64
+	opAttrs
+	pc uint64
 	// predNext is the PC fetch continued at (the prediction for branches).
 	predNext uint64
 
@@ -30,12 +31,10 @@ type uop struct {
 	done      bool // result available to dependents
 	dead      bool // squashed
 
-	result   uint64
-	flags    isa.Flags
-	writesCC bool
+	result uint64
+	flags  isa.Flags
 
 	// Memory state.
-	isMem       bool
 	agenDone    bool
 	translating int // remaining TLB-walk cycles (0 when not walking)
 	walkStarted bool
@@ -82,20 +81,45 @@ type renSnap struct {
 	cc   *uop
 }
 
+// opAttrs are the per-opcode facts the pipeline stages consult every
+// cycle. Fetch copies them from opAttrTable into each uop, so the issue
+// and retire loops never re-derive them from the opcode.
+type opAttrs struct {
+	class    isa.Class
+	memBytes int // access width of memory ops, else 0
+	isMem    bool
+	isStore  bool // writes memory: stores and swap
+	writesCC bool
+	// rexOp marks ops that execute at retire whatever their address
+	// (the op half of needsRetireExec).
+	rexOp bool
+}
+
+// opAttrTable holds every opcode byte's attributes, so a lookup never
+// needs a range check.
+var opAttrTable = func() (t [256]opAttrs) {
+	for i := range t {
+		op := isa.Op(i)
+		t[i] = opAttrs{
+			class:    op.Class(),
+			memBytes: op.MemBytes(),
+			isMem:    op.IsMem(),
+			isStore:  op.IsStore(),
+			writesCC: writesCC(op),
+		}
+		switch op {
+		case isa.OpMEMBAR, isa.OpRDPR, isa.OpWRPR, isa.OpIRET, isa.OpTRAP, isa.OpHALT, isa.OpSWAP:
+			t[i].rexOp = true
+		}
+	}
+	return t
+}()
+
 // needsRetireExec reports whether the operation's effect happens at the
 // head of the ROB rather than in the execute stage: everything with side
 // effects that must be in-order, non-speculative and exactly-once.
 func (u *uop) needsRetireExec() bool {
-	switch u.inst.Op {
-	case isa.OpMEMBAR, isa.OpRDPR, isa.OpWRPR, isa.OpIRET, isa.OpTRAP, isa.OpHALT:
-		return true
-	case isa.OpSWAP:
-		return true
-	}
-	if u.isMem && u.kind != mem.KindCached {
-		return true
-	}
-	return false
+	return u.rexOp || u.isMem && u.kind != mem.KindCached
 }
 
 // srcReady reports whether all register sources are available.
