@@ -350,3 +350,189 @@ func TestLRUNeverEvictsMRU(t *testing.T) {
 		}
 	}
 }
+
+// refCache is the original per-set tag array: one slice per set, indexed
+// by division by the set count. The oracle test drives it beside Cache to
+// prove that the flat layout and the shift-and-mask index are exact.
+type refCache struct {
+	cfg   Config
+	sets  [][]line
+	clock uint64
+	stats Stats
+}
+
+func newRefCache(cfg Config) *refCache {
+	nsets := cfg.Size / (cfg.LineSize * cfg.Assoc)
+	sets := make([][]line, nsets)
+	for i := range sets {
+		sets[i] = make([]line, cfg.Assoc)
+	}
+	return &refCache{cfg: cfg, sets: sets}
+}
+
+func (c *refCache) index(addr uint64) (set uint64, tag uint64) {
+	lineAddr := addr / uint64(c.cfg.LineSize)
+	return lineAddr % uint64(len(c.sets)), lineAddr / uint64(len(c.sets))
+}
+
+func (c *refCache) Lookup(addr uint64) bool {
+	set, tag := c.index(addr)
+	c.clock++
+	for i := range c.sets[set] {
+		l := &c.sets[set][i]
+		if l.valid && l.tag == tag {
+			l.used = c.clock
+			c.stats.Hits++
+			return true
+		}
+	}
+	c.stats.Misses++
+	return false
+}
+
+func (c *refCache) Contains(addr uint64) bool {
+	set, tag := c.index(addr)
+	for i := range c.sets[set] {
+		l := &c.sets[set][i]
+		if l.valid && l.tag == tag {
+			return true
+		}
+	}
+	return false
+}
+
+func (c *refCache) Insert(addr uint64) (victimAddr uint64, victimDirty, evicted bool) {
+	set, tag := c.index(addr)
+	c.clock++
+	victim := 0
+	var oldest uint64 = ^uint64(0)
+	for i := range c.sets[set] {
+		l := &c.sets[set][i]
+		if l.valid && l.tag == tag {
+			l.used = c.clock
+			return 0, false, false
+		}
+		if !l.valid {
+			victim = i
+			oldest = 0
+		} else if l.used < oldest {
+			victim = i
+			oldest = l.used
+		}
+	}
+	v := &c.sets[set][victim]
+	if v.valid {
+		evicted = true
+		victimDirty = v.dirty
+		victimAddr = (v.tag*uint64(len(c.sets)) + set) * uint64(c.cfg.LineSize)
+		c.stats.Evictions++
+		if v.dirty {
+			c.stats.Writebacks++
+		}
+	}
+	*v = line{tag: tag, used: c.clock, valid: true}
+	return victimAddr, victimDirty, evicted
+}
+
+func (c *refCache) SetDirty(addr uint64) {
+	set, tag := c.index(addr)
+	for i := range c.sets[set] {
+		l := &c.sets[set][i]
+		if l.valid && l.tag == tag {
+			l.dirty = true
+			return
+		}
+	}
+}
+
+func (c *refCache) Invalidate(addr uint64) (wasDirty, wasPresent bool) {
+	set, tag := c.index(addr)
+	for i := range c.sets[set] {
+		l := &c.sets[set][i]
+		if l.valid && l.tag == tag {
+			l.valid = false
+			return l.dirty, true
+		}
+	}
+	return false, false
+}
+
+func (c *refCache) Preload(addr uint64) {
+	set, tag := c.index(addr)
+	c.clock++
+	for i := range c.sets[set] {
+		l := &c.sets[set][i]
+		if l.valid && l.tag == tag {
+			return
+		}
+	}
+	for i := range c.sets[set] {
+		if !c.sets[set][i].valid {
+			c.sets[set][i] = line{tag: tag, used: c.clock, valid: true}
+			return
+		}
+	}
+	c.sets[set][0] = line{tag: tag, used: c.clock, valid: true}
+}
+
+// TestCacheMatchesReference drives Cache and refCache with the same seeded
+// random operation sequence over many geometries and compares every
+// return value and the counters after each operation.
+func TestCacheMatchesReference(t *testing.T) {
+	b := func(v bool) uint64 {
+		if v {
+			return 1
+		}
+		return 0
+	}
+	for _, lineSize := range []int{8, 16, 32, 64, 128} {
+		for _, assoc := range []int{1, 2, 4, 8} {
+			for _, nsets := range []int{1, 2, 4, 16, 64} {
+				cfg := Config{Size: lineSize * assoc * nsets, Assoc: assoc, LineSize: lineSize, HitLatency: 1}
+				c, err := New(cfg)
+				if err != nil {
+					t.Fatalf("%+v: %v", cfg, err)
+				}
+				ref := newRefCache(cfg)
+				rng := rand.New(rand.NewSource(int64(lineSize*1000 + assoc*100 + nsets)))
+				// A pool of three times the capacity in lines forces
+				// conflicts; a random high base exercises the top tag bits.
+				lines := uint64(3 * assoc * nsets)
+				for i := 0; i < 4000; i++ {
+					addr := uint64(rng.Int63n(int64(lines)))*uint64(lineSize) + uint64(rng.Intn(lineSize))
+					if rng.Intn(8) == 0 {
+						addr += rng.Uint64() &^ (1<<20 - 1)
+					}
+					var got, want [3]uint64
+					op := rng.Intn(6)
+					switch op {
+					case 0:
+						got[0], want[0] = b(c.Lookup(addr)), b(ref.Lookup(addr))
+					case 1:
+						got[0], want[0] = b(c.Contains(addr)), b(ref.Contains(addr))
+					case 2:
+						va, vd, ev := c.Insert(addr)
+						rva, rvd, rev := ref.Insert(addr)
+						got, want = [3]uint64{va, b(vd), b(ev)}, [3]uint64{rva, b(rvd), b(rev)}
+					case 3:
+						c.SetDirty(addr)
+						ref.SetDirty(addr)
+					case 4:
+						wd, wp := c.Invalidate(addr)
+						rwd, rwp := ref.Invalidate(addr)
+						got, want = [3]uint64{b(wd), b(wp)}, [3]uint64{b(rwd), b(rwp)}
+					case 5:
+						c.Preload(addr)
+						ref.Preload(addr)
+					}
+					if got != want {
+						t.Fatalf("%+v step %d op %d addr %#x: got %v, want %v", cfg, i, op, addr, got, want)
+					}
+					if c.Stats() != ref.stats {
+						t.Fatalf("%+v step %d op %d addr %#x: stats %+v, want %+v", cfg, i, op, addr, c.Stats(), ref.stats)
+					}
+				}
+			}
+		}
+	}
+}
