@@ -120,6 +120,84 @@ func TestPageTableMapRange(t *testing.T) {
 	}
 }
 
+// The zero value is an empty table: Map, Lookup, Unmap and Len all work
+// without NewPageTable.
+func TestPageTableZeroValue(t *testing.T) {
+	var pt PageTable
+	if _, ok := pt.Lookup(0x1000); ok {
+		t.Fatal("empty table hit")
+	}
+	pt.Unmap(0x1000)
+	if pt.Len() != 0 {
+		t.Fatalf("empty Len = %d", pt.Len())
+	}
+	pt.Map(0x1000, 0x1000, KindCached, true)
+	if pte, ok := pt.Lookup(0x1fff); !ok || pte.PFN != 1 {
+		t.Fatalf("lookup = %+v, %v", pte, ok)
+	}
+	if pt.Len() != 1 {
+		t.Fatalf("Len = %d, want 1", pt.Len())
+	}
+	pt.Unmap(0x1000)
+	if _, ok := pt.Lookup(0x1000); ok || pt.Len() != 0 {
+		t.Fatalf("after unmap: hit=%v Len=%d", ok, pt.Len())
+	}
+}
+
+// A range that straddles a 2 MB leaf boundary maps every page on both
+// sides, contiguously.
+func TestPageTableMapRangeAcrossLeaves(t *testing.T) {
+	const leaf = 2 << 20
+	var pt PageTable
+	va := uint64(3*leaf - 2*PageSize)
+	pt.MapRange(va, 0x100000, 5*PageSize, KindCombining, false)
+	if pt.Len() != 5 {
+		t.Fatalf("Len = %d, want 5", pt.Len())
+	}
+	for i := uint64(0); i < 5; i++ {
+		pte, ok := pt.Lookup(va + i*PageSize)
+		if !ok || pte.PFN != 0x100000>>PageBits+i || pte.Kind != KindCombining || pte.Writable {
+			t.Errorf("page %d: %+v, %v", i, pte, ok)
+		}
+	}
+	for _, a := range []uint64{va - PageSize, va + 5*PageSize} {
+		if _, ok := pt.Lookup(a); ok {
+			t.Errorf("%#x outside the range mapped", a)
+		}
+	}
+}
+
+// Remapping a mapped page replaces its entry without counting it twice;
+// unmapping a page that is not mapped changes nothing.
+func TestPageTableRemapAndUnmapCounts(t *testing.T) {
+	pt := NewPageTable()
+	pt.MapRange(0x40000000, 0x40000000, 1<<20, KindUncached, true)
+	if pt.Len() != 256 {
+		t.Fatalf("Len = %d, want 256", pt.Len())
+	}
+	pt.MapRange(0x40000000, 0x40000000, 1<<20, KindCombining, true)
+	pt.Map(0x40000000, 0x9000, KindCached, false)
+	if pt.Len() != 256 {
+		t.Fatalf("after remap Len = %d, want 256", pt.Len())
+	}
+	if pte, _ := pt.Lookup(0x40000000); pte.PFN != 9 || pte.Kind != KindCached {
+		t.Errorf("remapped page = %+v", pte)
+	}
+	if pte, _ := pt.Lookup(0x40001000); pte.Kind != KindCombining {
+		t.Errorf("second page kind = %v", pte.Kind)
+	}
+	pt.Unmap(0x40100000) // same leaf, never mapped
+	pt.Unmap(0x80000000) // no leaf
+	if pt.Len() != 256 {
+		t.Fatalf("after no-op unmaps Len = %d, want 256", pt.Len())
+	}
+	pt.Unmap(0x40000000)
+	pt.Unmap(0x40000000)
+	if pt.Len() != 255 {
+		t.Fatalf("after double unmap Len = %d, want 255", pt.Len())
+	}
+}
+
 func TestTLBHitMiss(t *testing.T) {
 	tlb := NewTLB(4)
 	pte := PTE{PFN: 7, Kind: KindCombining, Writable: true, Valid: true}
