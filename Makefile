@@ -39,11 +39,12 @@ bench-smoke:
 figures:
 	$(GO) run ./cmd/csbfig -all -j $(J)
 
-# The steady-state zero-allocation check must run WITHOUT -race (the race
-# detector's instrumentation allocates); the race target skips it via its
-# build tag.
+# The steady-state zero-allocation check and the machine-construction
+# allocation budget must run WITHOUT -race (the race detector's
+# instrumentation allocates); the race target skips them via their build
+# tag.
 zero-alloc:
-	$(GO) test -run TestTickSteadyStateZeroAlloc ./internal/bench/
+	$(GO) test -run 'TestTickSteadyStateZeroAlloc|TestNewMachineAllocBudget' ./internal/bench/ ./internal/sim/
 
 # Journey-traced runs of the paired store workloads: dump the per-hop
 # store journeys for the uncached and CSB paths, render both with
