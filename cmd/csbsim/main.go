@@ -39,6 +39,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"strconv"
 	"strings"
@@ -392,23 +393,30 @@ func mapRange(m *csbsim.Machine, spec string, kind mem.Kind) error {
 	if err != nil {
 		return err
 	}
+	switch {
+	case size == 0:
+		return fmt.Errorf("bad range %q: size is zero", spec)
+	case addr+size-1 < addr:
+		return fmt.Errorf("bad range %q: runs past the top of the address space", spec)
+	}
 	m.MapRange(addr, size, kind)
 	return nil
 }
 
 func parseNum(s string) (uint64, error) {
-	mult := uint64(1)
+	digits, mult := s, uint64(1)
 	switch {
 	case strings.HasSuffix(s, "K"), strings.HasSuffix(s, "k"):
-		mult = 1 << 10
-		s = s[:len(s)-1]
+		digits, mult = s[:len(s)-1], 1<<10
 	case strings.HasSuffix(s, "M"), strings.HasSuffix(s, "m"):
-		mult = 1 << 20
-		s = s[:len(s)-1]
+		digits, mult = s[:len(s)-1], 1<<20
 	}
-	v, err := strconv.ParseUint(strings.TrimPrefix(s, "0x"), pickBase(s), 64)
+	v, err := strconv.ParseUint(strings.TrimPrefix(digits, "0x"), pickBase(digits), 64)
 	if err != nil {
-		return 0, fmt.Errorf("bad number %q", s)
+		return 0, fmt.Errorf("bad number %q", digits)
+	}
+	if v > math.MaxUint64/mult {
+		return 0, fmt.Errorf("number %q overflows 64 bits", s)
 	}
 	return v * mult, nil
 }

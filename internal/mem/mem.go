@@ -12,6 +12,7 @@ package mem
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 )
 
 // PageBits and PageSize define the (fixed) 4 KB page geometry.
@@ -158,10 +159,19 @@ func (pt *PageTable) Map(va, pa uint64, kind Kind, writable bool) {
 	pt.MapRange(va, pa, 1, kind, writable)
 }
 
-// MapRange maps [va, va+size) to [pa, pa+size), page by page.
+// MapRange maps [va, va+size) to [pa, pa+size), page by page. An empty
+// range maps nothing; a range running past the top of the address space
+// stops there.
 func (pt *PageTable) MapRange(va, pa, size uint64, kind Kind, writable bool) {
+	if size == 0 {
+		return
+	}
+	end := va + size - 1
+	if end < va {
+		end = math.MaxUint64
+	}
 	first := va >> PageBits
-	last := (va + size - 1) >> PageBits
+	last := end >> PageBits
 	var l *ptLeaf
 	for vpn := first; vpn <= last; vpn++ {
 		if l == nil || vpn&leafMask == 0 {

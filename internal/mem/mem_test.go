@@ -2,6 +2,7 @@ package mem
 
 import (
 	"bytes"
+	"math"
 	"testing"
 	"testing/quick"
 )
@@ -164,6 +165,33 @@ func TestPageTableMapRangeAcrossLeaves(t *testing.T) {
 		if _, ok := pt.Lookup(a); ok {
 			t.Errorf("%#x outside the range mapped", a)
 		}
+	}
+}
+
+// An empty range maps nothing, even at address 0, where the last-page
+// computation would otherwise wrap to the top of the address space; a
+// range running past the top maps the pages up to it and no others.
+func TestPageTableMapRangeEmptyAndWrap(t *testing.T) {
+	var pt PageTable
+	pt.MapRange(0, 0, 0, KindUncached, true)
+	pt.MapRange(0x5000, 0x5000, 0, KindUncached, true)
+	if pt.Len() != 0 {
+		t.Fatalf("empty ranges mapped %d pages", pt.Len())
+	}
+	top := uint64(math.MaxUint64) &^ (PageSize - 1) // the last page
+	va := top - PageSize
+	pt.MapRange(va, 0x100000, 4*PageSize, KindCached, true)
+	if pt.Len() != 2 {
+		t.Fatalf("wrapping range mapped %d pages, want the 2 below the top", pt.Len())
+	}
+	for i, a := range []uint64{va, top} {
+		pte, ok := pt.Lookup(a)
+		if !ok || pte.PFN != 0x100000>>PageBits+uint64(i) {
+			t.Errorf("page %#x: %+v, %v", a, pte, ok)
+		}
+	}
+	if _, ok := pt.Lookup(0); ok {
+		t.Error("wrapping range mapped page 0")
 	}
 }
 
