@@ -57,6 +57,12 @@ type CPU struct {
 	iq  []*uop
 	exq []*uop
 
+	// Issue wakeup: wakeGen counts the events that can change what the
+	// issue walk does (see wake); idleGen is the generation at which the
+	// last walk acted on nothing, so issue skips the walk while they match.
+	wakeGen uint64
+	idleGen uint64
+
 	// Decoded-instruction cache: fetch skips the RAM read and decode for
 	// PCs it has seen (see decache.go).
 	decCache []decEntry
@@ -498,6 +504,7 @@ func (c *CPU) dispatch() {
 		c.rename(u)
 		u.dispatchC = c.stats.Cycles
 		c.pushROB(u)
+		c.wake()
 		if u.issuable() {
 			c.iq = append(c.iq, u)
 		}
@@ -607,7 +614,15 @@ func (c *CPU) rename(u *uop) {
 func (c *CPU) markDone(u *uop) {
 	u.done = true
 	u.completeC = c.stats.Cycles
+	c.wake()
 }
+
+// wake records an event the issue walk reads: a uop completing, dying,
+// entering the ROB or finishing translation, a cache fill, a ROB head
+// retiring, or a cached load refused for full MSHRs. A walk that spends
+// no FU, AGU or port budget and drops nothing from iq is blocked only on
+// uop and ROB state, so until the next wake it would do nothing again.
+func (c *CPU) wake() { c.wakeGen++ }
 
 // ReadsIntRs1 and ReadsIntRs2 forward to the instruction predicates; kept
 // as uop methods for symmetry with the FP checks above.
@@ -622,7 +637,15 @@ func (u *uop) ReadsIntRs2() bool { return u.inst.ReadsIntRs2() }
 // readiness is checked at scan time, so a uop that issueMem completes
 // mid-walk still unblocks a younger consumer this cycle. The walk
 // compacts the list in place, dropping uops issue is finished with.
+//
+// The walk is skipped while the previous one was idle and nothing has
+// woken the core since (see wake). The initial state counts as idle: the
+// list starts empty.
 func (c *CPU) issue() {
+	if c.idleGen == c.wakeGen {
+		return
+	}
+	gen := c.wakeGen
 	ints := c.cfg.IntALUs
 	fps := c.cfg.FPUs
 	agus := c.cfg.AGUs
@@ -652,6 +675,10 @@ func (c *CPU) issue() {
 			c.iq[n] = u
 			n++
 		}
+	}
+	if n == len(c.iq) && c.wakeGen == gen && ints == c.cfg.IntALUs && fps == c.cfg.FPUs &&
+		agus == c.cfg.AGUs && ports == c.cfg.MemPorts {
+		c.idleGen = gen
 	}
 	c.iq = c.iq[:n]
 }
@@ -719,13 +746,15 @@ func (c *CPU) startCachedLoad(u *uop) {
 		u.pins--
 		if !u.dead {
 			u.memWait = false
+			c.wake()
 		}
 	})
 	if hit || !accepted {
 		u.pins-- // callback not retained
 	}
 	if !accepted {
-		return // MSHRs full; retry next cycle
+		c.wake() // MSHRs full; retry next cycle
+		return
 	}
 	if hit {
 		u.memIssued = true
@@ -744,6 +773,7 @@ func (c *CPU) translate(u *uop) {
 		u.pa = u.va
 		u.kind = mem.KindCached
 		u.addrReady = true
+		c.wake()
 		return
 	}
 	asid := c.arch.PID()
@@ -766,6 +796,7 @@ func (c *CPU) finishWalk(u *uop) {
 	if !ok {
 		u.faulted = true
 		u.addrReady = true
+		c.wake()
 		return
 	}
 	c.tlb.Insert(u.va, c.arch.PID(), pte)
@@ -773,6 +804,7 @@ func (c *CPU) finishWalk(u *uop) {
 }
 
 func (c *CPU) finishTranslate(u *uop, pte mem.PTE) {
+	c.wake()
 	if u.isStore && !pte.Writable {
 		u.faulted = true
 		u.addrReady = true
@@ -842,6 +874,7 @@ func (c *CPU) executeAdvance() {
 			continue
 		}
 		u.executing = false
+		c.wake()
 		if u.isMem {
 			c.completeCachedLoad(u)
 			continue
@@ -949,6 +982,7 @@ func (c *CPU) recycleFetchQ() {
 //csb:pool
 func (c *CPU) killUop(x *uop) {
 	x.dead = true
+	c.wake()
 	c.releaseSnap(x)
 	if x.isBranch && !x.resolved {
 		c.branchCount--

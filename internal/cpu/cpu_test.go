@@ -94,6 +94,10 @@ func (r *rig) tick() {
 		r.u.TickBus(r.b)
 		r.h.TickBus(r.b)
 	}
+	// After the memory system's tick, so fills it delivered are checked.
+	if err := r.c.checkIssueGate(); err != nil {
+		r.t.Fatalf("cycle %d: %v\n%s", r.c.Cycles(), err, r.c.PipelineDump())
+	}
 }
 
 func (r *rig) run(t *testing.T, max int) {
@@ -748,6 +752,68 @@ func TestLoadWaitsForUnknownStoreAddress(t *testing.T) {
 	r.run(t, 1_000_000)
 	if got := r.c.State().R[4]; got != 5 {
 		t.Errorf("load got %d, want 5 (ordering violated)", got)
+	}
+}
+
+// A cached load overlapping an older, completed store issues only once
+// that store retires. The retirement is the only event in between — the
+// TLB and line are warm and fetch has stopped at the halt — so this is
+// the case the per-tick issue-gate oracle needs to see a ROB head retire
+// wake the issue stage.
+func TestLoadWaitsForOlderStoreToRetire(t *testing.T) {
+	r := newRig(t)
+	r.load(t, `
+	set 0x20000, %o1
+	ldx [%o1], %g1          ! warm the TLB entry and the line
+	membar
+	mov 5, %g2
+	stx %g2, [%o1+8]
+	ldx [%o1+8], %g3        ! overlaps the store: waits for it to retire
+	halt
+`)
+	r.run(t, 1_000_000)
+	if got := r.c.State().R[3]; got != 5 {
+		t.Errorf("load got %d, want 5 (ordering violated)", got)
+	}
+}
+
+// A squash must wake the issue stage: only the issue walk drops dead
+// uops from iq, and fetch may reuse their slots later the same cycle.
+// Every squash today follows the resolving branch's markDone, which wakes
+// too, so the per-tick oracle cannot see a missing wake here; this pins
+// killUop's wake directly, for both a branch squash and a full flush.
+func TestSquashWakesIssue(t *testing.T) {
+	r := newRig(t)
+	r.load(t, `
+	set 7, %g1
+	mul %g1, %g1, %g2
+	mul %g2, %g2, %g3
+	mul %g3, %g3, %g4
+	add %g4, 1, %g5
+	add %g5, 1, %g6
+	halt
+`)
+	for len(r.c.rob) < 3 {
+		r.tick()
+	}
+	gen := r.c.wakeGen
+	r.c.squashAfter(r.c.rob[0])
+	r.c.pc = r.c.rob[0].pc + 4 // refetch the squashed path, as resolveBranch would
+	if r.c.wakeGen == gen {
+		t.Error("squashAfter killed uops without waking the issue stage")
+	}
+	r.tick() // the woken walk drops the dead uops (checkWorkLists)
+	for len(r.c.rob) == 0 {
+		r.tick()
+	}
+	gen = r.c.wakeGen
+	r.c.FlushPipeline()
+	if r.c.wakeGen == gen {
+		t.Error("FlushPipeline killed uops without waking the issue stage")
+	}
+	r.run(t, 1_000_000)
+	if got := r.c.State().R[6]; got != 5764803 {
+		t.Errorf("%%g6 = %d, want 7^8+2 = 5764803", got)
 	}
 }
 

@@ -116,6 +116,7 @@ func (c *CPU) commitDest(u *uop) {
 //csb:pool
 func (c *CPU) popHead(u *uop) {
 	c.retiredThisCycle = true
+	c.wake() // orderingSafe reads the ROB
 	if len(c.retireObs) != 0 {
 		ev := RetireEvent{
 			Cycle: c.stats.Cycles, Seq: u.seq, PC: u.pc, Inst: u.inst,
@@ -264,6 +265,7 @@ func (c *CPU) retireSwapCached(u *uop) int {
 			u.pins--
 			if !u.dead {
 				u.memWait = false
+				c.wake()
 			}
 		})
 		if hit || !accepted {

@@ -71,3 +71,45 @@ func (c *CPU) checkWorkLists() error {
 	}
 	return nil
 }
+
+// checkIssueGate verifies the issue gate between Ticks: whenever the next
+// walk would be skipped (the last one was idle and nothing has woken the
+// core since), no uop on the issue list is actionable. It restates the
+// walk's conditions without side effects, assuming the full per-cycle FU,
+// AGU and port budgets an idle walk would have.
+func (c *CPU) checkIssueGate() error {
+	if c.idleGen != c.wakeGen {
+		return nil
+	}
+	for _, u := range c.iq {
+		var why string
+		switch {
+		case !u.issuable():
+			why = "would be dropped from iq"
+		case !u.isMem:
+			if u.srcReady() {
+				why = "FU op with ready sources"
+			}
+		case !u.agenDone:
+			if u.addrSrcReady() {
+				why = "agen pending with its address source ready"
+			}
+		case !u.addrReady:
+			// TLB walk in flight: executeAdvance finishes it.
+		case u.faulted:
+			why = "faulted"
+		case u.class == isa.ClassLoad:
+			if !u.memIssued && !u.memWait && c.orderingSafe(u) {
+				why = "cached load startable and ordering-safe"
+			}
+		case u.class == isa.ClassStore:
+			if u.dataSrcReady() {
+				why = "cached store with its data ready"
+			}
+		}
+		if why != "" {
+			return fmt.Errorf("issue gate skips the next walk, but seq %d (%s) is actionable: %s", u.seq, u.inst.String(), why)
+		}
+	}
+	return nil
+}
