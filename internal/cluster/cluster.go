@@ -83,12 +83,32 @@ func DefaultConfig() Config {
 }
 
 // NodeHook is a per-cycle host-side driver for one node (a load
-// generator): it runs before the node's machine tick each cycle, on the
+// generator). Step runs before the node's machine tick each cycle, on the
 // node's own goroutine under the parallel engine, and may touch only that
 // node's state (its NIC, its registers). Returning false retires the
 // hook; a node with a live hook is kept ticking even when its CPU has
 // halted, so hook-injected NIC work still progresses.
-type NodeHook func(cycle uint64) bool
+//
+// NextEvent(cycle) returns the earliest cycle ≥ cycle at which Step may
+// do anything: at every earlier cycle, provided nothing else touches the
+// node, Step must change no state and return true. While the node's CPU
+// is halted and its machine quiet, the engine skips Step and the machine
+// tick up to that cycle (see runWindow). A hook that cannot predict
+// returns cycle.
+type NodeHook interface {
+	Step(cycle uint64) bool
+	NextEvent(cycle uint64) uint64
+}
+
+// HookFunc adapts a plain per-cycle function to NodeHook. It cannot
+// predict its next event, so its node never fast-forwards.
+type HookFunc func(cycle uint64) bool
+
+// Step calls f.
+func (f HookFunc) Step(cycle uint64) bool { return f(cycle) }
+
+// NextEvent returns cycle: every cycle may be an event.
+func (f HookFunc) NextEvent(cycle uint64) uint64 { return cycle }
 
 // Node is one machine plus its NIC and its endpoint state on the fabric.
 type Node struct {
@@ -183,6 +203,7 @@ type Cluster struct {
 	route []int // default destination per node, -1 = must steer
 
 	seq        uint64 // flight sequence numbers (total routing order)
+	routePos   []int  // routeAll's per-node outbox cursors, reused each barrier
 	routeDrops uint64 // packets with no usable destination
 	linkDrops  uint64 // packets refused by a full link queue
 
@@ -254,6 +275,7 @@ func newNamed(cfg Config, names []string) (*Cluster, error) {
 		c.nodes = append(c.nodes, &Node{M: m, NIC: nic, name: name, idx: i})
 	}
 	c.links, c.route = buildLinks(cfg)
+	c.routePos = make([]int, len(c.nodes))
 	return c, nil
 }
 
@@ -670,7 +692,8 @@ func (c *Cluster) drainTraceLogs() {
 //
 //csb:barrier mutates every node's inbox and the shared link state
 func (c *Cluster) routeAll() {
-	pos := make([]int, len(c.nodes))
+	pos := c.routePos
+	clear(pos)
 	touched := false
 	for {
 		best := -1

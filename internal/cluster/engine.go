@@ -54,6 +54,8 @@ func (c *Cluster) lookahead() uint64 {
 // windows of different nodes run concurrently. A frozen, hook-less node
 // skips the cycle loop: the barrier's applyDue catches its inbox up, and
 // stamps use the flights' own due cycles, so the fast-forward is exact.
+// A halted node whose machine and hook are quiet jumps over its quiet
+// span with Machine.SkipIdle (see quietSpan).
 //
 //csb:hotpath
 //csb:worker runs a whole lookahead window on the node's own goroutine
@@ -62,8 +64,17 @@ func (n *Node) runWindow(start, end uint64) {
 		return
 	}
 	for cyc := start + 1; cyc <= end; cyc++ {
+		if k := n.quietSpan(cyc, end); k > 0 {
+			n.M.SkipIdle(k)
+			if n.haltCycle == 0 {
+				n.haltCycle = cyc
+			}
+			if cyc += k; cyc > end {
+				return
+			}
+		}
 		if n.hookActive() {
-			if !n.hook(cyc) {
+			if !n.hook.Step(cyc) {
 				n.hookDone = true
 			}
 		}
@@ -88,6 +99,32 @@ func (n *Node) runWindow(start, end uint64) {
 			n.applyDue(cyc)
 		}
 	}
+}
+
+// quietSpan returns how many cycles from cyc on the node may skip in one
+// SkipIdle, 0 to step cyc normally. It needs a live hook on a halted,
+// unfrozen, unfaulted machine (a hook-less one freezes instead, a faulted
+// one must step so runWindow records its error), and the span ends
+// before the first of: the hook's next event, the next RX enqueue, the
+// machine's IdleSpan cap and the window end. Over such a span every
+// skipped cycle would run a no-op hook step, a Tick that only advances
+// clocks and an empty pump. Its applyDue could only stamp arrivals, and
+// those use the flights' own due cycles, so the applyDue of the next
+// stepped cycle (or of the barrier) catches them up exactly.
+//
+//csb:hotpath
+func (n *Node) quietSpan(cyc, end uint64) uint64 {
+	if n.frozen || !n.hookActive() || !n.M.CPU.Halted() || n.M.CPU.Err() != nil {
+		return 0
+	}
+	to := min(n.hook.NextEvent(cyc), end+1)
+	if n.enqPos < len(n.inbox) {
+		to = min(to, n.inbox[n.enqPos].dueEnq)
+	}
+	if to <= cyc {
+		return 0
+	}
+	return min(to-cyc, n.M.IdleSpan())
 }
 
 // nodeWorkers is the persistent goroutine-per-node pool: each worker owns

@@ -45,7 +45,7 @@ func hookSender(c *Cluster, i int, period, until, drainUntil uint64) {
 	node := c.Node(i)
 	next := period
 	var sent uint64
-	c.SetNodeHook(i, func(cycle uint64) bool {
+	c.SetNodeHook(i, HookFunc(func(cycle uint64) bool {
 		for {
 			if _, ok := node.NIC.RxPop(); !ok {
 				break
@@ -63,7 +63,7 @@ func hookSender(c *Cluster, i int, period, until, drainUntil uint64) {
 			sent++
 		}
 		return cycle < drainUntil
-	})
+	}))
 }
 
 // faultSnapshot is everything the faulted determinism guard compares

@@ -281,7 +281,7 @@ func (g *Generator) Attach(c *cluster.Cluster, self int) error {
 	reg.Counter(prefix+"duplicate_replies", func() uint64 { return g.stats.DuplicateReplies })
 	reg.Counter(prefix+"goodput", func() uint64 { return g.stats.Goodput })
 	g.nextIssue = g.cfg.Warmup + g.gap()
-	c.SetNodeHook(self, g.hook)
+	c.SetNodeHook(self, g)
 	return nil
 }
 
@@ -293,14 +293,15 @@ func (g *Generator) Stats() Stats { return g.stats }
 // Latency returns the round-trip latency histogram.
 func (g *Generator) Latency() *counters.Histogram { return g.hist }
 
-// hook is the per-cycle driver: drain replies, expire deadlines, fire
-// due retries, then issue per schedule — a fixed order so the PRNG draw
-// sequence (and with it the whole run) is deterministic. It runs on the
-// node's goroutine inside lookahead windows and touches only this node's
-// state (its NIC, the generator's own accounting and histograms).
+// Step is the per-cycle cluster.NodeHook driver: drain replies, expire
+// deadlines, fire due retries, then issue per schedule — a fixed order so
+// the PRNG draw sequence (and with it the whole run) is deterministic. It
+// runs on the node's goroutine inside lookahead windows and touches only
+// this node's state (its NIC, the generator's own accounting and
+// histograms).
 //
 //csb:worker per-cycle NodeHook on the owning node's goroutine
-func (g *Generator) hook(cycle uint64) bool {
+func (g *Generator) Step(cycle uint64) bool {
 	g.drain(cycle)
 	if g.cfg.Timeout > 0 {
 		g.expire(cycle)
@@ -311,6 +312,29 @@ func (g *Generator) hook(cycle uint64) bool {
 		g.nextIssue = cycle + g.gap()
 	}
 	return true
+}
+
+// NextEvent implements cluster.NodeHook: the earliest cycle ≥ cycle at
+// which Step does anything. That is now while reply words wait in the
+// RX queue; otherwise the earliest of the next issue (while issuing is
+// still allowed), the oldest armed deadline and the earliest retry.
+//
+//csb:worker per-cycle NodeHook on the owning node's goroutine
+func (g *Generator) NextEvent(cycle uint64) uint64 {
+	if g.node.NIC.RxPending() != 0 {
+		return cycle
+	}
+	next := uint64(math.MaxUint64)
+	if g.cfg.IssueUntil == 0 || g.nextIssue <= g.cfg.IssueUntil {
+		next = g.nextIssue
+	}
+	if g.dlHead < len(g.dlq) {
+		next = min(next, g.dlq[g.dlHead].deadline)
+	}
+	for i := range g.retryq {
+		next = min(next, g.retryq[i].at)
+	}
+	return max(next, cycle)
 }
 
 // inject issues one fresh request. Mirrors what a guest's uncached

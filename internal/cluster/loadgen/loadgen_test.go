@@ -14,6 +14,12 @@ func serveCluster(t *testing.T, method bench.SendMethod, gcfg Config) (*cluster.
 	t.Helper()
 	ccfg := cluster.DefaultConfig()
 	ccfg.WireLatency = 80
+	return serveClusterCfg(t, ccfg, method, gcfg)
+}
+
+// serveClusterCfg is serveCluster over a given cluster configuration.
+func serveClusterCfg(t *testing.T, ccfg cluster.Config, method bench.SendMethod, gcfg Config) (*cluster.Cluster, *Generator) {
+	t.Helper()
 	c, err := cluster.NewPair(ccfg)
 	if err != nil {
 		t.Fatal(err)

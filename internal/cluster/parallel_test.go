@@ -146,7 +146,7 @@ func runRing(t *testing.T, f ringFabric, run func(*Cluster) error) ringSnapshot 
 	sent, seen := make([]uint64, 4), make([]uint64, 4)
 	for i, n := range c.Nodes() {
 		nic := n.NIC
-		c.SetNodeHook(i, func(cyc uint64) bool {
+		c.SetNodeHook(i, HookFunc(func(cyc uint64) bool {
 			if sent[i] == 0 && len(nic.Packets()) > 0 {
 				sent[i] = cyc
 			}
@@ -154,7 +154,7 @@ func runRing(t *testing.T, f ringFabric, run func(*Cluster) error) ringSnapshot 
 				seen[i] = cyc
 			}
 			return sent[i] == 0 || seen[i] == 0
-		})
+		}))
 	}
 	if err := run(c); err != nil {
 		t.Fatal(err)

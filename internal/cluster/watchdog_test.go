@@ -76,7 +76,7 @@ func TestClusterWatchdogIdleNotWedged(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	c.SetNodeHook(0, func(cycle uint64) bool { return cycle < 5000 })
+	c.SetNodeHook(0, HookFunc(func(cycle uint64) bool { return cycle < 5000 }))
 	if err := c.SetWatchdog(500, false); err != nil {
 		t.Fatal(err)
 	}

@@ -404,6 +404,13 @@ func (c *CPU) Tick() {
 	c.fetch()
 }
 
+// SkipHalted stands in for k Tick calls on a halted core: each would
+// only count a cycle and charge it to the halted CPI bucket.
+func (c *CPU) SkipHalted(k uint64) {
+	c.stats.Cycles += k
+	c.stats.CPI[obs.CauseHalted] += k
+}
+
 // ---- fetch ----
 
 func (c *CPU) fetch() {

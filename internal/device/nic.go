@@ -545,6 +545,17 @@ func (n *NIC) Idle() bool {
 	return !n.sending && len(n.fifo) == 0 && n.dma == dmaIdle && !n.dmaInFly
 }
 
+// CanSkipIdle reports whether an idle NIC's bus ticks may be elided: no
+// fault hook is installed (they draw from a PRNG on every tick) and no
+// injected stall or backpressure window is counting down.
+func (n *NIC) CanSkipIdle() bool {
+	return n.stallHook == nil && n.bpHook == nil && n.stallLeft == 0 && n.bpLeft == 0
+}
+
+// SkipIdle stands in for idle bus ticks, the last of them at bus cycle
+// busCycle: all they would do is advance the stamp clock.
+func (n *NIC) SkipIdle(busCycle uint64) { n.lastCycle = busCycle }
+
 // alignSize rounds down to the largest power of two ≤ v (min 1).
 func alignSize(v int) int {
 	s := 1

@@ -8,6 +8,7 @@ package sim
 import (
 	"bytes"
 	"fmt"
+	"math"
 
 	"csbsim/internal/asm"
 	"csbsim/internal/bus"
@@ -85,6 +86,16 @@ type Device interface {
 	TickBus(b *bus.Bus)
 	// Idle reports whether the device has no pending work.
 	Idle() bool
+}
+
+// idleSkipper is implemented by devices whose idle bus ticks SkipIdle may
+// elide (device.NIC does). A device without it keeps its machine ticking.
+type idleSkipper interface {
+	// CanSkipIdle reports whether the idle device's ticks are pure clock
+	// advances right now.
+	CanSkipIdle() bool
+	// SkipIdle stands in for idle bus ticks, the last at bus cycle busCycle.
+	SkipIdle(busCycle uint64)
 }
 
 // Stats is a full-machine snapshot.
@@ -463,8 +474,12 @@ func (m *Machine) Drain(maxCycles uint64) error {
 // Settled reports whether every asynchronous engine has gone quiet: the
 // uncached buffer and CSB are empty, the bus and cache hierarchy are idle,
 // and no device has pending work. A halted CPU plus Settled means further
-// ticks cannot change architectural state — the cluster scheduler uses
-// this to freeze finished nodes without dropping in-flight stores.
+// ticks cannot change architectural state or move any data. They still
+// advance the machine, CPU and bus cycle counters and the NIC's stamp
+// clock, and device fault hooks still draw from their PRNG. The cluster
+// scheduler uses this to freeze finished nodes without dropping in-flight
+// stores; SkipIdle replays those counter advances in O(1) for nodes that
+// must keep counting.
 //
 //csb:hotpath
 func (m *Machine) Settled() bool {
@@ -478,6 +493,60 @@ func (m *Machine) devicesIdle() bool {
 		}
 	}
 	return true
+}
+
+// IdleSpan returns the largest k for which SkipIdle(k) is exactly k Tick
+// calls, 0 when the machine is not quiet: its CPU must be halted and
+// Settled, no metrics sampler may be attached (it samples per cycle),
+// and every device must report that its idle ticks can be elided. The
+// span ends before the next AttachPeriodic hook fires.
+//
+//csb:hotpath
+func (m *Machine) IdleSpan() uint64 {
+	if !m.CPU.Halted() || m.sampler != nil {
+		return 0
+	}
+	for _, d := range m.devices {
+		if s, ok := d.(idleSkipper); !ok || !s.CanSkipIdle() {
+			return 0
+		}
+	}
+	if !m.Settled() {
+		return 0
+	}
+	k := uint64(math.MaxUint64)
+	for i := range m.periodicHooks {
+		k = min(k, m.periodicHooks[i].countdown-1)
+	}
+	return k
+}
+
+// SkipIdle advances a quiet machine by k CPU cycles in O(1), exactly as k
+// Tick calls would: the machine and CPU cycle counters and the halted CPI
+// bucket grow by k, the bus advances by the bus ticks that fall inside
+// the span, and the devices' stamp clocks follow the bus. The caller
+// guarantees k ≤ IdleSpan().
+//
+//csb:hotpath
+//csb:worker fast-forwards the node's own machine inside cluster lookahead windows
+func (m *Machine) SkipIdle(k uint64) {
+	m.CPU.SkipHalted(k)
+	m.cycle += k
+	for i := range m.periodicHooks {
+		m.periodicHooks[i].countdown -= k
+	}
+	// The bus ticks on the busCountdown-th cycle and every Ratio cycles
+	// after it.
+	ratio, cd := uint64(m.Cfg.Ratio), uint64(m.busCountdown)
+	if k < cd {
+		m.busCountdown = int(cd - k)
+		return
+	}
+	m.Bus.SkipIdle(1 + (k-cd)/ratio)
+	m.busCountdown = int(ratio - (k-cd)%ratio)
+	for _, d := range m.devices {
+		d.(idleSkipper).SkipIdle(m.Bus.Cycle())
+	}
 }
 
 // Stats snapshots all counters.
