@@ -13,8 +13,9 @@
 //
 // Topology flags (-nodes, -topology, -bandwidth, -link-depth) shape the
 // fabric; -engine picks the scheduler: "parallel" (default) is the
-// goroutine-per-node conservative-lookahead engine, "seq" its
-// single-threaded reference. Both produce byte-identical results at any
+// conservative-lookahead engine that runs nodes on worker goroutines
+// while two or more node CPUs are running (and inline otherwise), "seq"
+// its single-threaded reference. Both produce byte-identical results at any
 // wire latency, zero included. A halting run reports the cycle its last
 // node halted in; a serving run reports its horizon.
 //

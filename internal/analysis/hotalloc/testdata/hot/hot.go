@@ -22,12 +22,12 @@ func hot(b *buf, s *state, bs []byte) {
 	_ = q
 	f := func() {} // want `closure allocates on the hot path`
 	_ = f
-	b.s = b.s + "x" // want `string concatenation allocates on the hot path`
-	_ = string(bs) // want `string conversion allocates on the hot path`
+	b.s = b.s + "x"          // want `string concatenation allocates on the hot path`
+	_ = string(bs)           // want `string conversion allocates on the hot path`
 	xs := append([]int{}, 1) // want `append to a fresh slice allocates on the hot path`
 	_ = xs
 	b.backing = append(b.backing, s.n) // preallocated backing: no diagnostic
-	varf(1, 2) // want `variadic function allocates its argument slice`
+	varf(1, 2)                         // want `variadic function allocates its argument slice`
 }
 
 func varf(xs ...int) {}

@@ -20,11 +20,11 @@ var (
 )
 
 func (d *dev) onDone(t *bus.Txn) {
-	d.last = t // want `pooled \*bus\.Txn "t" stored in a location that outlives the call`
+	d.last = t                 // want `pooled \*bus\.Txn "t" stored in a location that outlives the call`
 	d.hist = append(d.hist, t) // want `pooled \*bus\.Txn "t" stored`
-	d.byAddr[t.Addr] = t // want `pooled \*bus\.Txn "t" stored`
-	lastGlobal = t // want `pooled \*bus\.Txn "t" stored`
-	lastRec = rec{t: t} // want `pooled \*bus\.Txn "t" stored`
+	d.byAddr[t.Addr] = t       // want `pooled \*bus\.Txn "t" stored`
+	lastGlobal = t             // want `pooled \*bus\.Txn "t" stored`
+	lastRec = rec{t: t}        // want `pooled \*bus\.Txn "t" stored`
 }
 
 func send(ch chan *bus.Txn, t *bus.Txn) {

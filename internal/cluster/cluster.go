@@ -12,10 +12,11 @@
 // the topology's natural next hop.
 //
 // Execution engine: the windowed conservative-lookahead engine in
-// engine.go (RunParallel/RunSequentialRef/RunFor) runs each node on its
-// own goroutine for whole windows of cycles, bounded by the minimum link
-// latency so no inbound packet can be missed. A zero-latency link gives
-// a one-cycle window, so the engine is exact at any latency.
+// engine.go (RunParallel/RunSequentialRef/RunFor) runs nodes for whole
+// windows of cycles, bounded by the minimum link latency so no inbound
+// packet can be missed: in parallel on worker goroutines while two or
+// more node CPUs run, otherwise inline on the coordinator. A zero-latency
+// link gives a one-cycle window, so the engine is exact at any latency.
 //
 // Observability: AttachTrace extends the PR 5 per-node journey tracer
 // across the wire — every pumped packet carries a trace ID (a flight-keyed
@@ -84,10 +85,10 @@ func DefaultConfig() Config {
 
 // NodeHook is a per-cycle host-side driver for one node (a load
 // generator). Step runs before the node's machine tick each cycle, on the
-// node's own goroutine under the parallel engine, and may touch only that
-// node's state (its NIC, its registers). Returning false retires the
-// hook; a node with a live hook is kept ticking even when its CPU has
-// halted, so hook-injected NIC work still progresses.
+// node's worker goroutine or inline on the coordinator, and may touch
+// only that node's state (its NIC, its registers). Returning false
+// retires the hook; a node with a live hook is kept ticking even when its
+// CPU has halted, so hook-injected NIC work still progresses.
 //
 // NextEvent(cycle) returns the earliest cycle ≥ cycle at which Step may
 // do anything: at every earlier cycle, provided nothing else touches the
@@ -142,6 +143,13 @@ type Node struct {
 	// with everything settled (and no live hook), or it faulted.
 	frozen bool
 	err    error
+
+	// onWorker marks a node whose current window runs on its worker
+	// goroutine; the coordinator sets it at each barrier (runNodes).
+	// wins tallies where the node's windows ran. Both are host-side
+	// scheduling state that no output reads.
+	onWorker bool
+	wins     struct{ worker, inline, inlineAfterWorker int }
 
 	// haltCycle is the cluster cycle of the tick in which the node's CPU
 	// first halted, 0 while it runs.

@@ -3,11 +3,20 @@
 // null messages are the references) applied to the cluster. The minimum
 // link latency W is the lookahead: a packet pumped at cycle t cannot
 // arrive anywhere before t+W, so every node can tick a whole window of W
-// cycles on its own goroutine without observing an inbound packet the
-// coordinator hasn't already delivered to its inbox. Between windows a
+// cycles on its own without observing an inbound packet the coordinator
+// hasn't already delivered to its inbox. Between windows a
 // single-threaded barrier routes the window's departures, delivers the
 // flights due at the window's last cycle, replays the deferred tracer
 // logs in node order, and publishes telemetry.
+//
+// Dispatch: the parallel engine hands a window to worker goroutines only
+// when it pays. At each barrier the coordinator counts the nodes whose
+// CPU is running. With two or more, each running node's window goes to
+// that node's worker and the coordinator runs the halted and frozen
+// nodes inline, then waits; with fewer, it runs every window inline, as
+// RunSequentialRef does. A halted node fast-forwards its quiet spans, so
+// it costs little inline, and one running node has nothing to overlap
+// with. Workers start on the first window that needs them.
 //
 // Determinism: a node's window run touches only node-local state (its
 // machine, its NIC, its inbox positions, its event log and outbox), and
@@ -127,49 +136,85 @@ func (n *Node) quietSpan(cyc, end uint64) uint64 {
 	return min(to-cyc, n.M.IdleSpan())
 }
 
-// nodeWorkers is the persistent goroutine-per-node pool: each worker owns
-// one node for the duration of a run and executes its windows. The
-// start/done channel pairs give the barrier its happens-before edges: the
-// coordinator's sends publish the routed inboxes to the workers, the
-// workers' completions publish window state back to the coordinator.
+// running reports whether the node's CPU executes instructions in the
+// next window, which makes it worth a worker handoff.
+func (n *Node) running() bool { return !n.frozen && !n.M.CPU.Halted() }
+
+// nodeWorkers is the parallel engine's worker pool: one goroutine per
+// node, started the first time that node is handed a window, so a run
+// that never has two running nodes starts none. The start/done channel
+// pairs give the barrier its happens-before edges: the coordinator's
+// sends publish the routed inboxes to the workers, the workers'
+// completions publish window state back to the coordinator.
 type nodeWorkers struct {
-	start []chan [2]uint64
-	done  chan int
+	start []chan [2]uint64 // per node; nil until its worker starts
+	done  chan struct{}
 }
 
-func (c *Cluster) startWorkers() *nodeWorkers {
-	w := &nodeWorkers{
-		start: make([]chan [2]uint64, len(c.nodes)),
-		done:  make(chan int, len(c.nodes)),
-	}
-	for i, n := range c.nodes {
+// send hands node i's window (start, end] to its worker, starting the
+// worker on first use.
+func (w *nodeWorkers) send(i int, n *Node, start, end uint64) {
+	if w.start[i] == nil {
 		ch := make(chan [2]uint64, 1)
 		w.start[i] = ch
 		//csb:worker the per-node goroutine body: one window per start-channel message
-		go func(n *Node, ch chan [2]uint64, idx int) {
+		go func() {
 			for win := range ch {
 				n.runWindow(win[0], win[1])
-				w.done <- idx
+				w.done <- struct{}{}
 			}
-		}(n, ch, i)
+		}()
 	}
-	return w
-}
-
-// run executes one window on every node concurrently and waits for all.
-func (w *nodeWorkers) run(start, end uint64) {
-	for _, ch := range w.start {
-		ch <- [2]uint64{start, end}
-	}
-	for range w.start {
-		<-w.done
-	}
+	w.start[i] <- [2]uint64{start, end}
 }
 
 // stop retires the worker goroutines.
 func (w *nodeWorkers) stop() {
 	for _, ch := range w.start {
-		close(ch)
+		if ch != nil {
+			close(ch)
+		}
+	}
+}
+
+// runNodes runs the window (start, end] on every node. With workers (the
+// parallel engine) and at least two running nodes, each running node's
+// window goes to its worker; the coordinator runs every other node's
+// window inline, then waits for the workers. Otherwise every window runs
+// inline, as in RunSequentialRef. An inline node runs under the same
+// two-phase contract as on a worker: runWindow touches only its node.
+func (c *Cluster) runNodes(start, end uint64, w *nodeWorkers) {
+	handoffs := 0
+	if w != nil {
+		for _, n := range c.nodes {
+			if n.running() {
+				handoffs++
+			}
+		}
+		if handoffs < 2 {
+			handoffs = 0
+		}
+	}
+	// Each node is marked before its own window starts, so running()
+	// still reads the state the count saw.
+	for i, n := range c.nodes {
+		n.onWorker = handoffs > 0 && n.running()
+		if n.onWorker {
+			n.wins.worker++
+			w.send(i, n, start, end)
+		}
+	}
+	for _, n := range c.nodes {
+		if !n.onWorker {
+			n.runWindow(start, end)
+			n.wins.inline++
+			if n.wins.worker > 0 {
+				n.wins.inlineAfterWorker++
+			}
+		}
+	}
+	for range handoffs {
+		<-w.done
 	}
 }
 
@@ -178,7 +223,10 @@ func (c *Cluster) runWindowed(limit uint64, parallel, limitIsErr bool) error {
 	w := c.lookahead()
 	var workers *nodeWorkers
 	if parallel {
-		workers = c.startWorkers()
+		workers = &nodeWorkers{
+			start: make([]chan [2]uint64, len(c.nodes)),
+			done:  make(chan struct{}, len(c.nodes)),
+		}
 		defer workers.stop()
 	}
 	c.startObs()
@@ -188,13 +236,7 @@ func (c *Cluster) runWindowed(limit uint64, parallel, limitIsErr bool) error {
 		if end > horizon {
 			end = horizon
 		}
-		if workers != nil {
-			workers.run(c.cycle, end)
-		} else {
-			for _, n := range c.nodes {
-				n.runWindow(c.cycle, end)
-			}
-		}
+		c.runNodes(c.cycle, end, workers)
 		c.cycle = end
 		// Barrier: all node goroutines are parked; shared state is ours.
 		// The window's trace events replay before routing opens new
@@ -244,10 +286,11 @@ func (c *Cluster) settled() bool {
 }
 
 // RunParallel advances the cluster on the parallel windowed engine —
-// goroutine per node, conservative lookahead barrier — until every node
-// halts and drains (or maxCycles elapse, an error). Requires ≥1 cycle of
-// latency on every link. The result (machine state, trace dumps, counter
-// values) is byte-identical to RunSequentialRef with the same inputs.
+// running nodes on worker goroutines while two or more CPUs run, the rest
+// inline, under a conservative lookahead barrier — until every node halts
+// and drains (or maxCycles elapse, an error). Any link latency works,
+// zero included. The result (machine state, trace dumps, counter values)
+// is byte-identical to RunSequentialRef with the same inputs.
 func (c *Cluster) RunParallel(maxCycles uint64) error {
 	return c.runWindowed(maxCycles, true, true)
 }

@@ -159,13 +159,22 @@ func runRing(t *testing.T, f ringFabric, run func(*Cluster) error) ringSnapshot 
 	if err := run(c); err != nil {
 		t.Fatal(err)
 	}
-	var snap ringSnapshot
+	snap := snapshotOf(t, c)
 	for i, n := range c.Nodes() {
 		snap.hops = append(snap.hops, seen[i]-sent[(i+3)%4])
 		if got := n.M.RAM.ReadUint(0x20000, 8); got != want(i) {
 			t.Errorf("node %s received sum %d, want %d", n.Name(), got, want(i))
 		}
 	}
+	return snap
+}
+
+// snapshotOf takes a finished, traced run's cluster-wide outputs: the
+// final and halt cycles, the merged ctrace dump, every node's Stats JSON
+// and the cluster registry snapshot.
+func snapshotOf(t *testing.T, c *Cluster) ringSnapshot {
+	t.Helper()
+	var snap ringSnapshot
 	snap.cycle = c.Cycle()
 	snap.haltCycle = c.HaltCycle()
 	var dump bytes.Buffer
@@ -177,6 +186,7 @@ func runRing(t *testing.T, f ringFabric, run func(*Cluster) error) ringSnapshot 
 	for _, n := range c.Nodes() {
 		stats = append(stats, n.M.Stats())
 	}
+	var err error
 	if snap.stats, err = json.Marshal(stats); err != nil {
 		t.Fatal(err)
 	}
@@ -269,10 +279,10 @@ func TestEnginesMatchAcrossFabrics(t *testing.T) {
 	}
 }
 
-// TestParallelNodeChurn runs an 8-node ring where nodes send different
-// packet counts and halt at staggered times — under -race this covers
-// worker goroutines freezing and thawing around barriers.
-func TestParallelNodeChurn(t *testing.T) {
+// churnRing builds an 8-node ring where nodes send different packet
+// counts and so halt at staggered times.
+func churnRing(t *testing.T) *Cluster {
+	t.Helper()
 	cfg := DefaultConfig()
 	cfg.Nodes = 8
 	cfg.Topology = TopoRing
@@ -281,23 +291,91 @@ func TestParallelNodeChurn(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	counts := func(i int) int { return i%3 + 1 }
 	for i, n := range c.Nodes() {
 		n.MapIO(false)
-		src := ringGuest(10*(i+1), counts(i), counts((i+7)%8))
+		src := ringGuest(10*(i+1), churnCount(i), churnCount((i+7)%8))
 		if _, err := n.M.LoadSource("churn.s", src); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := c.RunParallel(2_000_000); err != nil {
-		t.Fatal(err)
-	}
+	return c
+}
+
+// churnCount is the number of packets churnRing's node i sends.
+func churnCount(i int) int { return i%3 + 1 }
+
+// checkChurnSums checks that every churnRing node received its
+// predecessor's packets.
+func checkChurnSums(t *testing.T, c *Cluster) {
+	t.Helper()
 	for i, n := range c.Nodes() {
 		from := (i + 7) % 8
-		want := sumOf(10*(from+1), counts(from))
+		want := sumOf(10*(from+1), churnCount(from))
 		if got := n.M.RAM.ReadUint(0x20000, 8); got != want {
 			t.Errorf("node %s received sum %d, want %d", n.Name(), got, want)
 		}
+	}
+}
+
+// TestParallelNodeChurn runs the 8-node staggered-halt ring — under
+// -race this covers worker goroutines freezing and thawing around
+// barriers.
+func TestParallelNodeChurn(t *testing.T) {
+	c := churnRing(t)
+	if err := c.RunParallel(2_000_000); err != nil {
+		t.Fatal(err)
+	}
+	checkChurnSums(t, c)
+}
+
+// TestDispatchBothPaths: the parallel engine hands a window to worker
+// goroutines only while two or more node CPUs run, and runs every other
+// window inline on the coordinator. On the token ring (asymmetric halts)
+// and the 8-node staggered-halt ring both kinds of window must occur, a
+// node must move from its worker to inline as the CPUs halt, and the
+// ctrace dump, Stats JSON and registry snapshot must still match the
+// sequential reference byte for byte.
+func TestDispatchBothPaths(t *testing.T) {
+	token := func(t *testing.T, run func(*Cluster) error) ringSnapshot {
+		return runRing(t, ringFabric{latency: 90, rxDelay: 13, bandwidth: 2, token: true}, run)
+	}
+	churn := func(t *testing.T, run func(*Cluster) error) ringSnapshot {
+		c := churnRing(t)
+		if _, err := c.AttachTrace(journey.DefaultConfig(), ctrace.DefaultConfig()); err != nil {
+			t.Fatal(err)
+		}
+		if err := run(c); err != nil {
+			t.Fatal(err)
+		}
+		checkChurnSums(t, c)
+		return snapshotOf(t, c)
+	}
+	for _, tc := range []struct {
+		name     string
+		workload func(*testing.T, func(*Cluster) error) ringSnapshot
+	}{{"token ring", token}, {"churn ring", churn}} {
+		t.Run(tc.name, func(t *testing.T) {
+			var seqC, parC *Cluster
+			seq := tc.workload(t, func(c *Cluster) error { seqC = c; return c.RunSequentialRef(2_000_000) })
+			par := tc.workload(t, func(c *Cluster) error { parC = c; return c.RunParallel(2_000_000) })
+			checkSame(t, "seq vs par", seq, par)
+			for _, n := range seqC.Nodes() {
+				if n.wins.worker != 0 {
+					t.Errorf("sequential reference ran %d windows of node %s on a worker", n.wins.worker, n.Name())
+				}
+			}
+			var worker, inline, moved int
+			for _, n := range parC.Nodes() {
+				worker += n.wins.worker
+				inline += n.wins.inline
+				moved += n.wins.inlineAfterWorker
+			}
+			if worker == 0 || inline == 0 || moved == 0 {
+				t.Errorf("node windows: %d on workers, %d inline, %d inline after a worker window; want all > 0",
+					worker, inline, moved)
+			}
+			t.Logf("node windows: %d on workers, %d inline, %d inline after a worker window", worker, inline, moved)
+		})
 	}
 }
 

@@ -527,10 +527,11 @@ func (c *CPU) dispatch() {
 }
 
 // rename captures u's sources from the rename maps and registers u as the
-// new producer for its destinations.
+// new producer for its destinations. The rename maps are pipeline-owned
+// storage for in-flight uops; recycleRetired proves references drain
+// before a slot is reused.
 //
-//csb:pool — the rename maps are pipeline-owned storage for in-flight uops;
-// recycleRetired proves references drain before a slot is reused.
+//csb:pool — the rename maps are pipeline-owned storage for in-flight uops
 func (c *CPU) rename(u *uop) {
 	in := u.inst
 	// Source 1.
@@ -743,10 +744,11 @@ func (c *CPU) issueMem(u *uop, agus, ports *int) {
 	}
 }
 
-// startCachedLoad issues u's cache access.
+// startCachedLoad issues u's cache access. The fill callback's capture
+// of u is pin-counted: u.pins keeps the uop off the free list until the
+// callback has run (see recycleRetired).
 //
-//csb:pool — the fill callback's capture of u is pin-counted: u.pins keeps
-// the uop off the free list until the callback has run (see recycleRetired).
+//csb:pool — the fill callback's capture of u is pin-counted
 func (c *CPU) startCachedLoad(u *uop) {
 	u.pins++ // the fill callback captures u; see recycleRetired
 	lat, hit, accepted := c.hier.Load(u.pa, false, func() {

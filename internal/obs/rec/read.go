@@ -84,8 +84,10 @@ func Read(data []byte) (*Recording, error) {
 			rc.Truncated = true
 			break
 		}
+		// Bound flen by the bytes left after "\n" and before the closing
+		// "\n" before adding it to nl: a length near MaxInt would wrap.
 		flen, err := strconv.Atoi(string(data[pos:nl]))
-		if err != nil || flen < 0 || nl+1+flen+1 > len(data) || data[nl+1+flen] != '\n' {
+		if err != nil || flen < 0 || flen > len(data)-nl-2 || data[nl+1+flen] != '\n' {
 			rc.Truncated = true
 			break
 		}

@@ -35,14 +35,14 @@ func TestParseSLO(t *testing.T) {
 		t.Errorf("rule 1 parsed as %+v", r)
 	}
 	for _, bad := range []string{
-		"",                       // empty spec
-		"dev/alpha",              // no operator
-		"frob(dev/alpha) <= 1",   // unknown aggregation
-		"ratio(dev/a) >= 0.5",    // ratio needs two series
-		"p99(a, b) <= 1",         // one-series agg given two
-		"ratio(a/*, b) >= 0.5",   // glob count mismatch
-		"dev/alpha <= fast",      // non-numeric threshold
-		"p99(dev/lat <= 100",     // unclosed paren
+		"",                     // empty spec
+		"dev/alpha",            // no operator
+		"frob(dev/alpha) <= 1", // unknown aggregation
+		"ratio(dev/a) >= 0.5",  // ratio needs two series
+		"p99(a, b) <= 1",       // one-series agg given two
+		"ratio(a/*, b) >= 0.5", // glob count mismatch
+		"dev/alpha <= fast",    // non-numeric threshold
+		"p99(dev/lat <= 100",   // unclosed paren
 	} {
 		if _, err := ParseSLO(bad); err == nil {
 			t.Errorf("ParseSLO(%q) accepted", bad)
@@ -359,3 +359,41 @@ func TestRollAllocFree(t *testing.T) {
 type discardWriter struct{}
 
 func (discardWriter) Write(p []byte) (int, error) { return len(p), nil }
+
+// FuzzRead feeds Read arbitrary bytes: it must return a recording or an
+// error, never panic or hang. The corpus starts from a real recording,
+// every truncation of it, and a frame length that overflowed the bounds
+// check (testdata/fuzz/FuzzRead holds the regression seeds).
+func FuzzRead(f *testing.F) {
+	reg, a, _, h := testSource()
+	r, err := New(Config{Every: 10})
+	if err != nil {
+		f.Fatal(err)
+	}
+	if err := r.AddSource("dev", reg); err != nil {
+		f.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := r.SetWriter(&buf); err != nil {
+		f.Fatal(err)
+	}
+	r.Start(0)
+	for c := uint64(10); c <= 30; c += 10 {
+		*a = c
+		h.Record(c)
+		r.Roll(c)
+	}
+	r.Event(30, "node_down", "n1", "", 1)
+	r.Flush(30)
+	whole := buf.Bytes()
+	for i := 0; i <= len(whole); i++ {
+		f.Add(whole[:i])
+	}
+	f.Add([]byte("9223372036854775807\n{}\n"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		rc, err := Read(data)
+		if err == nil && rc.Version != FormatVersion {
+			t.Errorf("Read accepted version %d", rc.Version)
+		}
+	})
+}
